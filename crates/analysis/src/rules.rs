@@ -6,6 +6,7 @@
 //! explicit waiver comment for audited sites.
 
 use crate::lexer::{self, Line};
+use spatialdb_disk::LockClass;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -460,29 +461,30 @@ fn check_float_sort(file: &str, lines: &[Line], in_test: &[bool], findings: &mut
 // Rules 4 + 5: raw-lock and lock-order
 // ---------------------------------------------------------------------
 
-/// The declared lock hierarchy, outermost first. A lexical acquisition
-/// is classified by substring-matching the receiver expression; lower
-/// rank must be taken before higher rank.
-const LOCK_CLASSES: &[(&str, u8, &str)] = &[
-    ("writer", 0, "DbWriter"),
-    ("shard", 1, "Shard"),
-    ("pool", 1, "Shard"),
-    ("array", 2, "ArmQueue"),
-    ("arm", 2, "ArmQueue"),
-    ("state", 3, "DiskCounters"),
-    ("counter", 3, "DiskCounters"),
-    ("geom", 4, "Geometry"),
-    ("retired", 5, "Epoch"),
-    ("epoch", 5, "Epoch"),
+/// Field-name hints for the lock classes: a lexical acquisition is
+/// classified by substring-matching the receiver expression. Ranks and
+/// names come from [`LockClass`], the one definition of the hierarchy
+/// (lower rank must be taken before higher rank).
+const LOCK_HINTS: &[(&str, LockClass)] = &[
+    ("writer", LockClass::DbWriter),
+    ("shard", LockClass::Shard(0)),
+    ("pool", LockClass::Shard(0)),
+    ("array", LockClass::ArmQueue),
+    ("arm", LockClass::ArmQueue),
+    ("state", LockClass::DiskCounters),
+    ("counter", LockClass::DiskCounters),
+    ("geom", LockClass::Geometry),
+    ("retired", LockClass::Epoch),
+    ("epoch", LockClass::Epoch),
 ];
 
 /// Classify a lock receiver expression (the text before `.lock()`).
-fn classify_receiver(recv: &str) -> Option<(u8, &'static str)> {
+fn classify_receiver(recv: &str) -> Option<LockClass> {
     let lower = recv.to_lowercase();
-    LOCK_CLASSES
+    LOCK_HINTS
         .iter()
-        .find(|(needle, _, _)| lower.contains(needle))
-        .map(|&(_, rank, name)| (rank, name))
+        .find(|(needle, _)| lower.contains(needle))
+        .map(|&(_, class)| class)
 }
 
 /// Extract the receiver expression ending right before byte `pos`.
@@ -507,8 +509,7 @@ fn receiver_before(code: &str, pos: usize) -> String {
 /// acquisition can never wait and therefore never closes a cycle.
 struct Acq {
     line: usize,
-    rank: u8,
-    class: &'static str,
+    class: LockClass,
 }
 
 fn check_raw_lock(file: &str, lines: &[Line], in_test: &[bool], findings: &mut Vec<Finding>) {
@@ -563,30 +564,31 @@ fn check_lock_order(file: &str, lines: &[Line], in_test: &[bool], findings: &mut
                     pos.saturating_sub(1)
                 };
                 let recv = receiver_before(code, recv_end);
-                let Some((rank, class)) = classify_receiver(&recv) else {
+                let Some(class) = classify_receiver(&recv) else {
                     continue;
                 };
                 let non_blocking = pat.starts_with("try");
                 if !non_blocking && !waived(lines, i, Rule::LockOrder) {
-                    if let Some(prior) = acqs.iter().find(|a| a.rank > rank) {
+                    if let Some(prior) = acqs.iter().find(|a| a.class.rank() > class.rank()) {
+                        let hierarchy: Vec<&str> = LockClass::ALL.map(LockClass::name).to_vec();
                         findings.push(Finding {
                             file: file.to_string(),
                             line: i + 1,
                             rule: Rule::LockOrder,
                             message: format!(
-                                "acquires {class} (rank {rank}) after {} (rank {}, line {}) — \
-                                 contradicts the DbWriter → Shard → ArmQueue → DiskCounters \
-                                 → Geometry → Epoch hierarchy",
-                                prior.class, prior.rank, prior.line
+                                "acquires {} (rank {}) after {} (rank {}, line {}) — \
+                                 contradicts the {} hierarchy",
+                                class.name(),
+                                class.rank(),
+                                prior.class.name(),
+                                prior.class.rank(),
+                                prior.line,
+                                hierarchy.join(" → ")
                             ),
                         });
                     }
                 }
-                acqs.push(Acq {
-                    line: i + 1,
-                    rank,
-                    class,
-                });
+                acqs.push(Acq { line: i + 1, class });
             }
         }
     }

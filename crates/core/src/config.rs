@@ -1,11 +1,9 @@
 //! One validated configuration for a [`Workspace`](crate::Workspace).
 //!
-//! Historically every knob of the simulated machine grew its own
-//! constructor or setter — `with_shards`, `with_shard_routing`,
-//! `configure_arms`, `set_adaptive_shards` — and combining them meant
-//! knowing which calls compose in which order. [`EngineConfig`] subsumes
-//! that zoo into a single builder that is validated as a whole before
-//! any resource exists:
+//! Every knob of the simulated machine (buffer capacity, pool sharding
+//! and routing, disk-arm array, adaptive quotas) lives in one
+//! [`EngineConfig`] builder, validated as a whole before any resource
+//! exists:
 //!
 //! ```
 //! use spatialdb::{EngineConfig, Routing, StripePolicy, Workspace};

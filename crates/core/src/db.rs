@@ -12,8 +12,8 @@
 //! [`SpatialDatabase::query`] and [`SpatialDatabase::join`]. The store
 //! stack is `Send + Sync` with a `&self` read path, so queries and joins
 //! borrow the database immutably — any number of threads may query one
-//! database concurrently, and the parallel executor
-//! ([`crate::executor`]) fans batches across a scoped thread pool.
+//! database concurrently, and the execution engine
+//! ([`crate::stream`]) refines batches on worker threads.
 //!
 //! ## Concurrent writers: shadow paging + epochs
 //!
@@ -30,7 +30,7 @@
 //! Superseded snapshots are retired to the database's collector and
 //! freed once no pin can reach them (see the `spatialdb-epoch` docs);
 //! exact geometry lives outside the versioned root in a
-//! [`StableMap`](spatialdb_epoch::StableMap), whose tombstone-on-remove
+//! [`StableMap`], whose tombstone-on-remove
 //! discipline keeps candidates from older snapshots refinable.
 //!
 //! The exclusive entry points that remain `&mut self`
@@ -47,10 +47,7 @@
 use crate::config::{ConfigError, EngineConfig};
 use crate::executor::ExecPlan;
 use crate::query::{JoinQuery, Query};
-use spatialdb_disk::Routing;
-use spatialdb_disk::{
-    DepMutex, Disk, DiskHandle, DiskParams, IoStats, LockClass, StripePolicy, PAGE_SIZE,
-};
+use spatialdb_disk::{DepMutex, Disk, DiskHandle, DiskParams, IoStats, LockClass, PAGE_SIZE};
 use spatialdb_epoch::{Collector, Snapshot, SnapshotGuard, StableMap};
 use spatialdb_geom::{Geometry, HasMbr};
 use spatialdb_rtree::ObjectId;
@@ -174,94 +171,18 @@ impl Workspace {
             config.shards,
             config.routing,
         );
-        let ws = Workspace { disk, pool };
         if config.arms > 1 {
-            ws.apply_arms(config.arms, config.stripe);
+            // Keep the pool's shard routing aligned with the arm
+            // assignment: under `Routing::ByRegion` with multiple shards,
+            // each shard's miss stream then feeds exactly one arm (see
+            // `ShardedPool::set_arm_affinity`; dormant in other modes).
+            disk.configure_arms(config.arms, config.stripe);
+            pool.set_arm_affinity(config.arms, config.stripe);
         }
         if config.adaptive_shards {
-            ws.pool.set_adaptive(true);
+            pool.set_adaptive(true);
         }
-        Ok(ws)
-    }
-
-    /// Create a workspace whose buffer pool is split across `shards`
-    /// page-hash shards under the one `buffer_pages` budget.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Workspace::from_config(EngineConfig::default()\
-                .buffer_pages(..).shards(..))"
-    )]
-    pub fn with_shards(buffer_pages: usize, shards: usize) -> Self {
-        Self::from_config(
-            EngineConfig::default()
-                .buffer_pages(buffer_pages)
-                .shards(shards),
-        )
-    }
-
-    /// Create a workspace with explicit disk parameters and shard count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Workspace::from_config(EngineConfig::default()\
-                .params(..).buffer_pages(..).shards(..))"
-    )]
-    pub fn with_params_sharded(params: DiskParams, buffer_pages: usize, shards: usize) -> Self {
-        Self::from_config(
-            EngineConfig::default()
-                .params(params)
-                .buffer_pages(buffer_pages)
-                .shards(shards),
-        )
-    }
-
-    /// Create a sharded workspace with an explicit shard
-    /// [`Routing`] mode.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Workspace::from_config(EngineConfig::default()\
-                .buffer_pages(..).shards(..).routing(..))"
-    )]
-    pub fn with_shard_routing(buffer_pages: usize, shards: usize, routing: Routing) -> Self {
-        Self::from_config(
-            EngineConfig::default()
-                .buffer_pages(buffer_pages)
-                .shards(shards)
-                .routing(routing),
-        )
-    }
-
-    /// Reconfigure the simulated disk as an `arms`-way array whose
-    /// regions are declustered by `stripe` (see [`StripePolicy`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if requests are still pending on the current array.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Workspace::from_config(EngineConfig::default().arms(..))"
-    )]
-    pub fn configure_arms(&self, arms: usize, stripe: StripePolicy) {
-        self.apply_arms(arms, stripe);
-    }
-
-    /// Shape the disk as an `arms`-way array and keep the buffer
-    /// pool's shard routing aligned with the new arm assignment: under
-    /// `Routing::ByRegion` with multiple shards, each shard's miss
-    /// stream then feeds exactly one arm (see
-    /// `ShardedPool::set_arm_affinity`; dormant in other modes).
-    fn apply_arms(&self, arms: usize, stripe: StripePolicy) {
-        self.disk.configure_arms(arms, stripe);
-        self.pool.set_arm_affinity(arms, stripe);
-    }
-
-    /// Enable (or disable) adaptive shard quotas on the buffer pool.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Workspace::from_config(EngineConfig::default()\
-                .adaptive_shards(true))"
-    )]
-    pub fn set_adaptive_shards(&self, on: bool) {
-        self.pool.set_adaptive(on);
+        Ok(Workspace { disk, pool })
     }
 
     /// The simulated disk.
@@ -318,17 +239,14 @@ impl Workspace {
     ///
     /// Build the queries with [`SpatialDatabase::query`] (without calling
     /// `run`) and hand them over; they may target different databases of
-    /// **this workspace**. A bare thread count (as below) is the
-    /// serialized deterministic plan: the filter steps are issued in
-    /// submission order against the workspace's single simulated disk —
-    /// see the [`executor`](crate::executor) module docs for why that
-    /// keeps every per-query and aggregate statistic **identical to
-    /// sequential execution**, at any thread count — while the
-    /// exact-geometry refinement runs on the thread pool.
-    /// `ExecPlan::threads(k).overlapped()` fans the filter steps across
-    /// the workers too (built for sharded pools), and
-    /// `ExecPlan::threads(k).timed(OverlapConfig)` replays the filter
-    /// I/O through the disk-arm scheduler, attaching per-query
+    /// **this workspace**. The filter steps are issued in submission
+    /// order against the workspace's simulated disk while the
+    /// exact-geometry refinement runs on `k` worker threads — see the
+    /// [`stream`](crate::stream) module docs for why that keeps every
+    /// per-query and aggregate statistic **identical to sequential
+    /// execution**, at any thread count. `ExecPlan::threads(k).timed(..)`
+    /// also replays the filter I/O through the disk-arm scheduler,
+    /// attaching per-query
     /// [`LatencyStats`](spatialdb_disk::LatencyStats) to the outcomes.
     /// (For a batch spanning several workspaces, call
     /// [`executor::run_batch`](crate::executor::run_batch) directly.)
@@ -367,36 +285,6 @@ impl Workspace {
     ) -> crate::executor::BatchOutcome {
         self.assert_same_workspace(&queries);
         crate::executor::run_batch(queries, plan)
-    }
-
-    /// Execute a batch with the **filter steps overlapped** across the
-    /// worker pool as well (see
-    /// [`FilterMode::Overlapped`](crate::executor::FilterMode)).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use run_batch(queries, ExecPlan::threads(n).overlapped())"
-    )]
-    pub fn run_batch_overlapped(
-        &self,
-        queries: Vec<Query<'_>>,
-        n_threads: usize,
-    ) -> crate::executor::BatchOutcome {
-        self.run_batch(queries, ExecPlan::threads(n_threads).overlapped())
-    }
-
-    /// Execute a batch under the **overlapped-I/O scheduler**
-    /// ([`FilterMode::OverlappedIo`](crate::executor::FilterMode)).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use run_batch(queries, ExecPlan::threads(n).timed(config))"
-    )]
-    pub fn run_batch_timed(
-        &self,
-        queries: Vec<Query<'_>>,
-        n_threads: usize,
-        config: crate::executor::OverlapConfig,
-    ) -> crate::executor::BatchOutcome {
-        self.run_batch(queries, ExecPlan::threads(n_threads).timed(config))
     }
 
     /// STR-bulk-load `objects` into the empty database `db`, fanning
@@ -441,7 +329,7 @@ impl Workspace {
     /// backend is free to reinvent is the layout of the exact
     /// representations. A backend that wants the shared (`&self`) write
     /// path must also override
-    /// [`SpatialStore::snapshot`](spatialdb_storage::SpatialStore::snapshot)
+    /// [`SpatialStore::snapshot`]
     /// (typically `Box::new(self.clone())` on a `Clone` store, as below);
     /// without it only the exclusive `&mut` entry points work.
     ///
@@ -529,7 +417,7 @@ impl Workspace {
 /// geometry used for query refinement.
 ///
 /// The backend lives behind a versioned root pointer
-/// ([`Snapshot`](spatialdb_epoch::Snapshot)): reads pin an epoch and
+/// ([`Snapshot`]): reads pin an epoch and
 /// traverse a consistent copy-on-write snapshot, writes serialize on an
 /// internal gate and publish shadow copies — see the [module
 /// docs](crate::db) for the full concurrency story.

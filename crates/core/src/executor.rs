@@ -1,49 +1,31 @@
-//! The parallel query executor.
+//! Query batches and single queries on the execution engine.
 //!
-//! The engine splits a query into the paper's two steps, and they
-//! parallelize very differently:
+//! A batch is a list of independent window/point queries, possibly
+//! against several databases of one workspace. [`run_batch`] lowers it
+//! onto the engine in [`crate::stream`]: the filter steps (R\*-tree walk
+//! and object transfer, the part that charges the simulated disk) run in
+//! submission order on the calling thread, and the exact-geometry
+//! refinement runs on worker threads **while** later filter steps are
+//! still running. Per-query and aggregate [`QueryStats`]/[`IoStats`]
+//! are therefore *identical* to running the same queries sequentially,
+//! and every outcome is byte-identical at any thread count.
 //!
-//! * the **filter step** (R\*-tree walk + object transfer) charges the
-//!   simulated disk — a single arm with one LRU buffer. Its cost model
-//!   is inherently serial: which accesses become requests depends on the
-//!   exact order pages enter the shared buffer. The executor therefore
-//!   issues the filter steps of a batch **in submission order** on the
-//!   calling thread by default, which makes the per-query and aggregate
-//!   [`QueryStats`]/[`IoStats`] *identical* to running the same queries
-//!   sequentially — deterministic at every thread count.
-//! * the **refinement step** (exact geometry tests) is pure CPU over
-//!   immutable state, and is fanned across a scoped thread pool.
-//!
-//! Since the buffer pool is sharded
-//! ([`ShardedPool`](spatialdb_disk::ShardedPool)), the filter steps *can*
-//! also overlap: [`FilterMode::Overlapped`] fans whole queries
-//! (filter + refinement) across the worker pool. Per-query deltas stay
-//! exact — each worker measures against its own thread-local I/O tally —
-//! and queries whose page sets hash to **disjoint shards** proceed
-//! without ever contending, producing the same hit/miss classification
-//! as the serialized order. Queries that do share pages may interleave
-//! in the shared LRU state, so aggregate `io_ms` is
-//! schedule-dependent; with `n_threads <= 1` the overlapped mode
-//! degenerates to submission order and stays byte-deterministic (the
-//! single-thread path). Use the default [`FilterMode::Serialized`]
-//! whenever reproducing the paper's figures.
+//! An [`ExecPlan`] picks the worker count and the [`FilterMode`]: a bare
+//! thread count (`run_batch(queries, 8)`) runs the plain batch;
+//! [`ExecPlan::timed`] additionally replays each filter step's captured
+//! request trace through the disk-arm scheduler and attaches per-query
+//! [`LatencyStats`] to the outcomes.
 //!
 //! Entry points: [`Query::run_par`](crate::query::Query::run_par) for
 //! one query, and [`Workspace::run_batch`](crate::db::Workspace::run_batch)
-//! for a batch (the queries may target different databases — anything
-//! `Send + Sync`, which every [`SpatialStore`](spatialdb_storage::SpatialStore)
-//! is). An [`ExecPlan`] picks the thread count and [`FilterMode`];
-//! a bare thread count (`run_batch(queries, 8)`) is the serialized
-//! deterministic default.
+//! for a batch.
 
-use crate::query::{
-    candidate_ids, execute_filter, execute_filter_traced, refined_geometry, Query, Target,
-};
+use crate::query::Query;
+use crate::stream::{execute, filter_query, refine_chunked, OpOutcome, Step};
 use spatialdb_disk::{
-    simulate_queries_closed, simulate_queries_striped, ArmGeometry, ArmPolicy, ArmStats,
-    ArrayConfig, IoStats, LatencyStats, PageRequest, QueryTrace, RotationModel, StripePolicy,
+    simulate, ArmPolicy, ArmStats, ArrayConfig, Arrivals, IoStats, LatencyStats, QueryTrace,
+    RotationModel, StripePolicy,
 };
-use spatialdb_rtree::LeafEntry;
 use spatialdb_storage::QueryStats;
 
 /// Materialized result of one query executed by the parallel executor.
@@ -161,75 +143,6 @@ impl IntoIterator for BatchOutcome {
     }
 }
 
-/// One query after its filter step: everything refinement needs.
-struct Prepared<'a> {
-    db: &'a crate::db::SpatialDatabase,
-    target: Target,
-    /// Sorted candidate ids from the warm directory (no I/O charged).
-    candidates: Vec<u64>,
-    stats: QueryStats,
-    io: IoStats,
-    /// Captured request trace (only under [`FilterMode::OverlappedIo`]).
-    trace: Vec<PageRequest>,
-}
-
-/// Execute one query's filter step and candidate re-read. Both are the
-/// cursor path's own helpers ([`execute_filter`], [`candidate_ids`]),
-/// and both the serialized and the overlapped scheduling go through
-/// this one function — neither executor path can drift from
-/// `Query::run` or from each other.
-/// With `traced`, the filter step goes through the stores' batched read
-/// path ([`SpatialStore::window_query_traced`](spatialdb_storage::SpatialStore::window_query_traced)):
-/// the same synchronous execution — identical answers, stats and charged
-/// I/O — additionally capturing the disk requests for replay through the
-/// arm scheduler.
-fn prepare_one<'a>(q: Query<'a>, scratch: &mut Vec<LeafEntry>, traced: bool) -> Prepared<'a> {
-    let db = q.db;
-    let target = q
-        .target
-        .expect("Query::run() needs .window(..) or .point(..) first");
-    let technique = q.technique.unwrap_or(db.technique);
-    // One pinned snapshot across the filter step and the candidate
-    // re-read: a writer publishing between the two cannot desynchronize
-    // the candidate set from the charged I/O.
-    let store = db.store();
-    let (stats, io, trace) = if traced {
-        execute_filter_traced(&*store, &target, technique)
-    } else {
-        let (stats, io) = execute_filter(&*store, &target, technique);
-        (stats, io, Vec::new())
-    };
-    let candidates = candidate_ids(&*store, &target, scratch);
-    Prepared {
-        db,
-        target,
-        candidates,
-        stats,
-        io,
-        trace,
-    }
-}
-
-/// Execute the filter steps in submission order on the calling thread,
-/// reusing one candidate scratch buffer across the whole batch.
-fn filter_phase(queries: Vec<Query<'_>>) -> Vec<Prepared<'_>> {
-    let mut scratch: Vec<LeafEntry> = Vec::new();
-    queries
-        .into_iter()
-        .map(|q| prepare_one(q, &mut scratch, false))
-        .collect()
-}
-
-/// Refine a slice of sorted candidate ids with the cursor path's
-/// [`refined_geometry`] predicate.
-fn refine(db: &crate::db::SpatialDatabase, target: &Target, candidates: &[u64]) -> Vec<u64> {
-    candidates
-        .iter()
-        .copied()
-        .filter(|&id| refined_geometry(db, target, id).is_some())
-        .collect()
-}
-
 /// When the queries of a timed batch arrive on the simulated clock
 /// (the arrival process of [`FilterMode::OverlappedIo`]).
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
@@ -250,7 +163,7 @@ pub enum Arrival {
     /// next query `think_ms` after its previous one **completes**:
     /// arrivals self-throttle under load, producing the classic
     /// response-time-vs-clients curve
-    /// ([`simulate_queries_closed`](spatialdb_disk::simulate_queries_closed)).
+    /// ([`Arrivals::Closed`]).
     Closed {
         /// Concurrent clients (0 is treated as 1). Client `c` issues
         /// queries `c, c + clients, c + 2·clients, …` of the batch.
@@ -317,8 +230,7 @@ pub struct OverlapConfig {
     /// timeline is byte-identical to the single-arm scheduler whatever
     /// the stripe policy.
     pub arms: usize,
-    /// How regions map to arms (see
-    /// [`StripePolicy`](spatialdb_disk::StripePolicy)).
+    /// How regions map to arms (see [`StripePolicy`]).
     pub stripe: StripePolicy,
     /// Rotational-latency model of the arms' timelines (the charged
     /// accounting always stays on the flat §5.1 average).
@@ -338,35 +250,23 @@ impl Default for OverlapConfig {
     }
 }
 
-/// How a batch's filter steps are scheduled (the refinement step always
-/// fans across the worker pool).
+/// Whether a batch also simulates its I/O timeline.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub enum FilterMode {
-    /// Issue the filter steps in submission order on the calling
-    /// thread: per-query and aggregate stats are byte-identical to
-    /// sequential execution at every thread count. The default, and
-    /// the mode every paper figure runs under.
+    /// Answers and per-query stats only. The default, and the mode
+    /// every paper figure runs under.
     #[default]
     Serialized,
-    /// Fan whole queries (filter + refinement) across the worker pool.
-    /// Per-query deltas stay exact (thread-local tallies); queries
-    /// whose page sets hit disjoint shards of the
-    /// [`ShardedPool`](spatialdb_disk::ShardedPool) never contend and
-    /// classify hits/misses as in submission order, while overlapping
-    /// page sets make the aggregate `io_ms` schedule-dependent. With
-    /// `n_threads <= 1` this degenerates to the serialized order
-    /// (deterministic single-thread path).
-    Overlapped,
     /// The overlapped-I/O mode: filter steps execute in submission
     /// order through the stores' **batched read path** (answers,
     /// `QueryStats` and charged `IoStats` byte-identical to
     /// [`Serialized`](FilterMode::Serialized)), each query's captured
     /// requests are replayed through the **disk-arm scheduler** with a
-    /// depth-*k* submission window under an open-arrival workload, and
-    /// the per-query [`LatencyStats`] land on the outcomes
-    /// ([`QueryOutcome::latency_stats`]). The refinement CPU runs on
-    /// the worker pool **while** this thread computes the simulated-I/O
-    /// timeline. Deterministic at every thread count.
+    /// depth-*k* submission window under the configured arrival
+    /// process, and the per-query [`LatencyStats`] land on the outcomes
+    /// ([`QueryOutcome::latency_stats`]). The replay runs on the calling
+    /// thread while the workers refine. Deterministic at every thread
+    /// count.
     OverlappedIo(OverlapConfig),
 }
 
@@ -374,41 +274,31 @@ pub enum FilterMode {
 ///
 /// The one argument of [`run_batch`] (and of
 /// [`Workspace::run_batch`](crate::db::Workspace::run_batch)). A bare
-/// `usize` converts into the serialized deterministic default, so
-/// `run_batch(queries, 8)` keeps working:
+/// `usize` converts into the plain plan, so `run_batch(queries, 8)`
+/// keeps working:
 ///
 /// ```
 /// use spatialdb::executor::{ExecPlan, OverlapConfig};
 ///
-/// let deterministic = ExecPlan::threads(8);
-/// let concurrent = ExecPlan::threads(8).overlapped();
+/// let plain = ExecPlan::threads(8);
 /// let timed = ExecPlan::threads(8).timed(OverlapConfig::default());
-/// # let _ = (deterministic, concurrent, timed);
+/// # let _ = (plain, timed);
 /// ```
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct ExecPlan {
-    /// Worker threads for the refinement fan (and, under
-    /// [`FilterMode::Overlapped`], the filter fan).
+    /// Worker threads for the refinement step.
     pub threads: usize,
-    /// How the filter steps are scheduled.
+    /// Whether the batch also simulates its I/O timeline.
     pub mode: FilterMode,
 }
 
 impl ExecPlan {
-    /// A serialized (deterministic) plan on `n` worker threads.
+    /// A plain plan on `n` worker threads.
     pub fn threads(n: usize) -> Self {
         ExecPlan {
             threads: n,
             mode: FilterMode::Serialized,
         }
-    }
-
-    /// Fan whole queries (filter + refinement) across the workers
-    /// ([`FilterMode::Overlapped`]).
-    #[must_use]
-    pub fn overlapped(mut self) -> Self {
-        self.mode = FilterMode::Overlapped;
-        self
     }
 
     /// Replay the filter steps through the disk-arm scheduler
@@ -434,172 +324,72 @@ impl From<usize> for ExecPlan {
 }
 
 /// Run a batch under an [`ExecPlan`] (a bare thread count converts to
-/// the serialized deterministic default): filter phase per the plan's
-/// [`FilterMode`], then refinement fanned across the plan's worker
-/// threads (contiguous chunks of the batch, merged back in submission
-/// order).
+/// the plain plan) on the execution engine: filter steps in submission
+/// order on the calling thread, refinement on the plan's worker threads
+/// meanwhile, outcomes in submission order.
+///
+/// # Panics
+///
+/// Panics if a query has neither a window nor a point, or if a timed
+/// batch spans databases of different workspaces (it simulates one
+/// disk array).
 pub fn run_batch(queries: Vec<Query<'_>>, plan: impl Into<ExecPlan>) -> BatchOutcome {
     let plan = plan.into();
-    match plan.mode {
-        // Overlapped scheduling only differs once two workers exist;
-        // at one thread the serialized path *is* the overlap order,
-        // which keeps the single-thread path deterministic.
-        FilterMode::Overlapped if plan.threads > 1 => run_batch_overlapped(queries, plan.threads),
-        FilterMode::OverlappedIo(cfg) => run_batch_overlapped_io(queries, plan.threads, cfg),
-        _ => run_batch_serialized(queries, plan.threads),
-    }
-}
-
-/// Run a batch under an explicit [`FilterMode`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use run_batch(queries, ExecPlan { threads, mode })"
-)]
-pub fn run_batch_with(queries: Vec<Query<'_>>, n_threads: usize, mode: FilterMode) -> BatchOutcome {
-    run_batch(
-        queries,
-        ExecPlan {
-            threads: n_threads,
-            mode,
-        },
-    )
-}
-
-/// The overlapped-I/O batch runner (see [`FilterMode::OverlappedIo`]):
-/// serialized traced filter phase, then the shared tail with the
-/// arm-timeline simulation.
-fn run_batch_overlapped_io(
-    queries: Vec<Query<'_>>,
-    n_threads: usize,
-    cfg: OverlapConfig,
-) -> BatchOutcome {
-    if queries.is_empty() {
-        return BatchOutcome {
-            outcomes: Vec::new(),
-            arm_stats: Vec::new(),
-            inter_arrival_ms: 0.0,
-        };
-    }
-    // The timed mode is the one mode with cross-query shared state (one
-    // disk array, one set of DiskParams), so it must hold even when
-    // called directly rather than through `Workspace::run_batch`.
-    let disk = queries[0].db.store().disk();
-    for (i, q) in queries.iter().enumerate() {
-        assert!(
-            std::sync::Arc::ptr_eq(&q.db.store().disk(), &disk),
-            "query {i} targets a database of another workspace; \
-             a timed batch simulates one disk array"
-        );
-    }
-    let params = disk.params();
-    let mut scratch: Vec<LeafEntry> = Vec::new();
-    let prepared: Vec<Prepared<'_>> = queries
-        .into_iter()
-        .map(|q| prepare_one(q, &mut scratch, true))
-        .collect();
-    finish_batch(prepared, n_threads, Some((params, cfg)))
-}
-
-/// The shared tail of the serialized and timed paths: fan refinement
-/// across the worker pool — optionally replaying the captured request
-/// traces through the disk-arm scheduler on the calling thread
-/// *meanwhile* — then zip the outcomes back in submission order.
-fn finish_batch(
-    mut prepared: Vec<Prepared<'_>>,
-    n_threads: usize,
-    timing: Option<(spatialdb_disk::DiskParams, OverlapConfig)>,
-) -> BatchOutcome {
-    if prepared.is_empty() {
-        return BatchOutcome {
-            outcomes: Vec::new(),
-            arm_stats: Vec::new(),
-            inter_arrival_ms: 0.0,
-        };
-    }
-    // The open-arrival spacing comes from the batch's own traced filter
-    // phase: mean synchronous service time over the load factor,
-    // accumulated in submission order (the same summation order as a
-    // sequential loop, so the figure is bit-reproducible).
-    let spacing = timing.as_ref().map_or(0.0, |(_, cfg)| {
-        let mean = prepared.iter().map(|p| p.stats.io_ms).sum::<f64>() / prepared.len() as f64;
-        cfg.arrival.spacing_ms(mean)
-    });
-    let traces: Vec<QueryTrace> = if timing.is_some() {
-        prepared
-            .iter_mut()
-            .enumerate()
-            .map(|(i, p)| QueryTrace {
-                arrival_ms: i as f64 * spacing,
-                // The trace is only needed by the simulation — move it
-                // out instead of copying every request.
-                requests: std::mem::take(&mut p.trace),
-            })
-            .collect()
-    } else {
-        Vec::new()
+    let timing = match plan.mode {
+        FilterMode::OverlappedIo(cfg) => timed_disk_params(&queries).map(|params| (params, cfg)),
+        FilterMode::Serialized => None,
     };
-    let threads = n_threads.clamp(1, prepared.len());
-    let per = prepared.len().div_ceil(threads);
-    let (refined, timed) = std::thread::scope(|scope| {
-        let handles: Vec<_> = prepared
-            .chunks(per)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|p| refine(p.db, &p.target, &p.candidates))
-                        .collect::<Vec<Vec<u64>>>()
-                })
+    let steps: Vec<Step<'_>> = queries.into_iter().map(Step::from).collect();
+    let (ops, (spacing, timed)) = execute(steps, plan.threads, timing.is_some(), |ops, traces| {
+        let Some((params, cfg)) = timing else {
+            return (0.0, None);
+        };
+        // The open-arrival spacing comes from the batch's own traced
+        // filter phase: mean synchronous service time over the load
+        // factor, summed in submission order (the order of a sequential
+        // loop, so the figure is bit-reproducible).
+        let io_ms = ops.iter().map(|op| match op {
+            OpOutcome::Query { stats, .. } => stats.io_ms,
+            _ => unreachable!("a batch holds only queries"),
+        });
+        let mean = io_ms.sum::<f64>() / ops.len() as f64;
+        let spacing = cfg.arrival.spacing_ms(mean);
+        let traces: Vec<QueryTrace> = traces
+            .into_iter()
+            .enumerate()
+            .map(|(i, requests)| QueryTrace {
+                arrival_ms: i as f64 * spacing,
+                requests,
             })
             .collect();
-        // Refinement CPU overlaps with the simulated I/O: the workers
-        // grind exact-geometry tests while this thread schedules the
-        // depth-k request windows on the array's arms.
-        let timed = timing.map(|(params, cfg)| {
-            let array = ArrayConfig {
-                arms: cfg.arms,
-                stripe: cfg.stripe,
-                policy: cfg.policy,
-                rotation: cfg.rotation,
-            };
-            match cfg.arrival {
-                Arrival::Closed { clients, think_ms } => simulate_queries_closed(
-                    params,
-                    ArmGeometry::default(),
-                    array,
-                    cfg.depth,
-                    clients,
-                    think_ms,
-                    &traces,
-                ),
-                _ => simulate_queries_striped(
-                    params,
-                    ArmGeometry::default(),
-                    array,
-                    cfg.depth,
-                    &traces,
-                ),
-            }
-        });
-        let refined: Vec<Vec<u64>> = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("refinement worker panicked"))
-            .collect();
-        (refined, timed)
+        let arrivals = match cfg.arrival {
+            Arrival::Closed { clients, think_ms } => Arrivals::Closed { clients, think_ms },
+            _ => Arrivals::Open,
+        };
+        let array = ArrayConfig {
+            arms: cfg.arms,
+            stripe: cfg.stripe,
+            policy: cfg.policy,
+            rotation: cfg.rotation,
+        };
+        let timed = simulate(params, array, cfg.depth, arrivals, &traces);
+        (spacing, Some(timed))
     });
     let (latency, arm_stats) = match timed {
         Some((latency, arm_stats)) => (latency.into_iter().map(Some).collect(), arm_stats),
-        None => (vec![None; prepared.len()], Vec::new()),
+        None => (vec![None; ops.len()], Vec::new()),
     };
-    let outcomes = prepared
+    let outcomes = ops
         .into_iter()
-        .zip(refined)
         .zip(latency)
-        .map(|((p, ids), lat)| QueryOutcome {
-            ids,
-            stats: p.stats,
-            io: p.io,
-            latency: lat,
+        .map(|(op, latency)| match op {
+            OpOutcome::Query { ids, stats, io } => QueryOutcome {
+                ids,
+                stats,
+                io,
+                latency,
+            },
+            _ => unreachable!("a batch holds only queries"),
         })
         .collect();
     BatchOutcome {
@@ -609,103 +399,31 @@ fn finish_batch(
     }
 }
 
-/// Overlapped scheduling: contiguous chunks of the batch, each worker
-/// running filter + refinement per query against the shared (sharded)
-/// pool, outcomes merged back in submission order. Each worker measures
-/// its queries against its own thread-local I/O tally, so the per-query
-/// deltas are exact even while the workers charge the same disk
-/// concurrently.
-fn run_batch_overlapped(queries: Vec<Query<'_>>, n_threads: usize) -> BatchOutcome {
-    if queries.is_empty() {
-        return BatchOutcome {
-            outcomes: Vec::new(),
-            arm_stats: Vec::new(),
-            inter_arrival_ms: 0.0,
-        };
+/// The disk parameters of a timed batch's one disk array, or `None` for
+/// an empty batch. A timed batch is the one mode with cross-query shared
+/// state, so this holds even when [`run_batch`] is called directly
+/// rather than through `Workspace::run_batch`.
+fn timed_disk_params(queries: &[Query<'_>]) -> Option<spatialdb_disk::DiskParams> {
+    let disk = queries.first()?.db.store().disk();
+    for (i, q) in queries.iter().enumerate() {
+        assert!(
+            std::sync::Arc::ptr_eq(&q.db.store().disk(), &disk),
+            "query {i} targets a database of another workspace; \
+             a timed batch simulates one disk array"
+        );
     }
-    let threads = n_threads.clamp(1, queries.len());
-    let per = queries.len().div_ceil(threads);
-    let chunks: Vec<Vec<Query<'_>>> = {
-        let mut chunks = Vec::with_capacity(threads);
-        let mut rest = queries;
-        while !rest.is_empty() {
-            let tail = rest.split_off(per.min(rest.len()));
-            chunks.push(rest);
-            rest = tail;
-        }
-        chunks
-    };
-    let outcomes: Vec<QueryOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut scratch: Vec<LeafEntry> = Vec::new();
-                    chunk
-                        .into_iter()
-                        .map(|q| {
-                            let p = prepare_one(q, &mut scratch, false);
-                            let ids = refine(p.db, &p.target, &p.candidates);
-                            QueryOutcome {
-                                ids,
-                                stats: p.stats,
-                                io: p.io,
-                                latency: None,
-                            }
-                        })
-                        .collect::<Vec<QueryOutcome>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("overlapped query worker panicked"))
-            .collect()
-    });
-    BatchOutcome {
-        outcomes,
-        arm_stats: Vec::new(),
-        inter_arrival_ms: 0.0,
-    }
-}
-
-/// Serialized scheduling: deterministic filter phase on the calling
-/// thread, then the shared refinement tail.
-fn run_batch_serialized(queries: Vec<Query<'_>>, n_threads: usize) -> BatchOutcome {
-    finish_batch(filter_phase(queries), n_threads, None)
+    Some(disk.params())
 }
 
 /// Run one query with its refinement partitioned across `n_threads`
-/// (contiguous chunks of the sorted candidate list — concatenation
-/// preserves the ascending id order).
+/// workers (contiguous chunks of the sorted candidate list).
 pub(crate) fn run_one_par(query: Query<'_>, n_threads: usize) -> QueryOutcome {
-    let mut prepared = filter_phase(vec![query]);
-    let p = prepared.pop().expect("one query in, one prepared out");
-    if p.candidates.is_empty() {
-        return QueryOutcome {
-            ids: Vec::new(),
-            stats: p.stats,
-            io: p.io,
-            latency: None,
-        };
-    }
-    let threads = n_threads.clamp(1, p.candidates.len());
-    let per = p.candidates.len().div_ceil(threads);
-    let ids: Vec<u64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = p
-            .candidates
-            .chunks(per)
-            .map(|chunk| scope.spawn(|| refine(p.db, &p.target, chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("refinement worker panicked"))
-            .collect()
-    });
+    let (db, target, technique) = query.lower();
+    let (stats, io, _, candidates) = filter_query(db, &target, technique, false, &mut Vec::new());
     QueryOutcome {
-        ids,
-        stats: p.stats,
-        io: p.io,
+        ids: refine_chunked(db, target, candidates, n_threads),
+        stats,
+        io,
         latency: None,
     }
 }

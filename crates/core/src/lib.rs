@@ -10,8 +10,8 @@
 //! generator.
 //!
 //! Storage backends are pluggable behind the
-//! [`SpatialStore`](spatialdb_storage::SpatialStore) trait, and queries
-//! stream through the [`Query`](query::Query) builder.
+//! [`SpatialStore`] trait, and queries stream through the [`Query`]
+//! builder.
 //!
 //! ## Quickstart
 //!
@@ -65,8 +65,8 @@
 //! | [`join`] | the spatial join pipeline |
 //! | [`data`] | synthetic TIGER-like maps & workloads (Table 1) |
 //! | [`query`] | the streaming `Query` builder and cursors |
-//! | [`executor`] | the parallel query executor (`run_par`, `run_batch`) |
-//! | [`stream`] | the mixed read/write stream executor (`run_stream`) |
+//! | [`executor`] | query batches and `run_par` on the execution engine (`run_batch`) |
+//! | [`stream`] | the execution engine and mixed read/write streams (`run_stream`) |
 //! | [`experiments`] | drivers regenerating every table/figure of the paper |
 
 #![forbid(unsafe_code)]

@@ -34,7 +34,7 @@
 
 use crate::db::{SpatialDatabase, StoreRead};
 use spatialdb_disk::{
-    simulate_queries, ArmGeometry, ArmPolicy, IoStats, LatencyStats, PageRequest, QueryTrace,
+    simulate, ArmPolicy, ArrayConfig, Arrivals, IoStats, LatencyStats, PageRequest, QueryTrace,
 };
 use spatialdb_geom::Geometry;
 use spatialdb_geom::{Point, Rect};
@@ -54,36 +54,25 @@ pub(crate) enum Target {
 /// per-query deltas against the calling thread's I/O tally — so the
 /// reported cost is this query's alone even while other threads query
 /// concurrently. One implementation shared by the sequential cursor
-/// ([`Query::run`]) and the parallel executor.
+/// ([`Query::run`]) and the execution engine.
+///
+/// With `traced`, the query goes through the stores' batched read path
+/// ([`SpatialStore::window_query_traced`]): the same synchronous
+/// execution, answers and deltas, plus the captured [`PageRequest`]
+/// trace for the arm scheduler. Untraced, the trace is empty.
 pub(crate) fn execute_filter(
     store: &dyn SpatialStore,
     target: &Target,
     technique: WindowTechnique,
-) -> (QueryStats, IoStats) {
-    let disk = store.disk();
-    let io_before = disk.local_stats();
-    let stats = match target {
-        Target::Window(w) => store.window_query(w, technique),
-        Target::Point(p) => store.point_query(p),
-    };
-    let io = disk.local_stats().since(&io_before);
-    (stats, io)
-}
-
-/// [`execute_filter`] through the stores' batched read path
-/// ([`SpatialStore::window_query_traced`](spatialdb_storage::SpatialStore::window_query_traced)):
-/// same synchronous execution and deltas, plus the captured
-/// [`PageRequest`] trace for the arm scheduler.
-pub(crate) fn execute_filter_traced(
-    store: &dyn SpatialStore,
-    target: &Target,
-    technique: WindowTechnique,
+    traced: bool,
 ) -> (QueryStats, IoStats, Vec<PageRequest>) {
     let disk = store.disk();
     let io_before = disk.local_stats();
-    let (stats, trace) = match target {
-        Target::Window(w) => store.window_query_traced(w, technique),
-        Target::Point(p) => store.point_query_traced(p),
+    let (stats, trace) = match (target, traced) {
+        (Target::Window(w), false) => (store.window_query(w, technique), Vec::new()),
+        (Target::Point(p), false) => (store.point_query(p), Vec::new()),
+        (Target::Window(w), true) => store.window_query_traced(w, technique),
+        (Target::Point(p), true) => store.point_query_traced(p),
     };
     let io = disk.local_stats().since(&io_before);
     (stats, io, trace)
@@ -124,7 +113,7 @@ pub(crate) fn refined_geometry<'g>(
 
 /// The join refinement predicate: whether the candidate pair `(a, b)`
 /// really intersects on exact geometry. Shared by [`JoinCursor`] and
-/// the mixed-stream executor so the two paths cannot drift.
+/// the execution engine so the two paths cannot drift.
 ///
 /// # Panics
 ///
@@ -211,18 +200,12 @@ impl<'a> Query<'a> {
     /// Panics if neither [`window`](Query::window) nor
     /// [`point`](Query::point) was set.
     pub fn run(self) -> ResultCursor<'a> {
-        let Query {
-            db,
-            target,
-            technique,
-        } = self;
-        let target = target.expect("Query::run() needs .window(..) or .point(..) first");
-        let technique = technique.unwrap_or(db.technique);
+        let (db, target, technique) = self.lower();
         // One pinned snapshot for the whole cursor: the filter step and
         // the lazy candidate re-read see the same store version even if
         // writers publish in between.
         let store = db.store();
-        let (stats, io) = execute_filter(&*store, &target, technique);
+        let (stats, io, _) = execute_filter(&*store, &target, technique, false);
         ResultCursor {
             db,
             store,
@@ -236,13 +219,27 @@ impl<'a> Query<'a> {
         }
     }
 
+    /// The database, target and effective window technique of the
+    /// query: what every execution path runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if neither [`window`](Query::window) nor
+    /// [`point`](Query::point) was set.
+    pub(crate) fn lower(self) -> (&'a SpatialDatabase, Target, WindowTechnique) {
+        let target = self
+            .target
+            .expect("Query::run() needs .window(..) or .point(..) first");
+        (self.db, target, self.technique.unwrap_or(self.db.technique))
+    }
+
     /// Execute the query with the refinement step fanned across
     /// `n_threads` worker threads.
     ///
     /// The filter step (the part that charges the simulated disk) runs
-    /// exactly as in [`run`](Query::run) — the disk is one arm, its cost
-    /// model is inherently serial — and the CPU-bound exact-geometry
-    /// tests are partitioned across a scoped thread pool. The returned
+    /// exactly as in [`run`](Query::run), on the calling thread, and the
+    /// CPU-bound exact-geometry tests are partitioned across the
+    /// execution engine's workers ([`crate::stream`]). The returned
     /// [`QueryOutcome`](crate::executor::QueryOutcome) therefore carries
     /// the **same result set and the same per-query stats** as the
     /// sequential cursor, materialized.
@@ -428,17 +425,17 @@ impl<'a> JoinQuery<'a> {
             let (ls, rs) = (left.store(), right.store());
             SpatialJoin::new(&*ls, &*rs).run_with_pairs_traced(config)
         };
-        let latency = simulate_queries(
-            disk.params(),
-            ArmGeometry::default(),
+        let array = ArrayConfig {
             policy,
-            depth,
-            &[QueryTrace {
-                arrival_ms: 0.0,
-                requests: trace,
-            }],
-        )
-        .pop();
+            ..ArrayConfig::default()
+        };
+        let traces = [QueryTrace {
+            arrival_ms: 0.0,
+            requests: trace,
+        }];
+        let latency = simulate(disk.params(), array, depth, Arrivals::Open, &traces)
+            .0
+            .pop();
         JoinCursor {
             left,
             right,

@@ -1,44 +1,52 @@
-//! The mixed-stream executor mode: one interleaved stream of reads
-//! **and writes**, executed without serial barriers.
+//! The execution engine: one phase-A loop on the calling thread, one
+//! refinement queue drained by worker threads. Every executor entry
+//! point runs on it: [`run_stream`] for mixed read/write streams,
+//! [`Workspace::run_batch`](crate::db::Workspace::run_batch) for query
+//! batches (plain or timed), and
+//! [`Query::run_par`](crate::query::Query::run_par) for one query.
 //!
-//! [`run_stream`] consumes a [`StreamOp`] sequence — window queries,
-//! point queries, spatial joins, inserts and deletes, possibly against
-//! several databases of one workspace — and executes it under the
-//! shadow-paging concurrency model of
-//! [`SpatialDatabase`](crate::db::SpatialDatabase):
+//! The engine splits each operation the way the paper splits a query:
 //!
 //! * **Phase A (stream order, calling thread):** every operation's
-//!   I/O-charging half runs here, in logical commit order. A query op
-//!   pins a snapshot, runs its filter step and re-reads its candidate
-//!   ids; a join op pins both operands and runs the MBR join; an
-//!   insert/delete commits through the `&self` shadow-paging write path
-//!   and publishes a new root. Per-op [`IoStats`] deltas are measured
-//!   against the calling thread's local tally, so they are exact and
-//!   independent of the worker count.
-//! * **Refinement (worker pool, concurrent):** the CPU-bound
-//!   exact-geometry tests of each query/join are handed to a shared
-//!   work queue the moment its phase-A half completes, and scoped
-//!   workers drain the queue **while phase A keeps committing** — a
-//!   writer never waits for a reader's refinement, and a reader's
-//!   candidates stay consistent because they were fixed under an epoch
-//!   pin and deletes only tombstone exact geometry
-//!   ([`StableMap`](spatialdb_epoch::StableMap) keeps it addressable).
+//!   I/O-charging half runs here, in submission order. A query pins a
+//!   snapshot, runs its filter step (R\*-tree walk and object transfer,
+//!   charging the simulated disk) and fixes its sorted candidate ids; a
+//!   join pins both operands and runs the MBR join; an insert or delete
+//!   commits through the `&self` shadow-paging write path and publishes
+//!   a new root. Which page accesses become disk requests depends on the
+//!   exact order pages enter the shared buffer, so one fixed order is
+//!   what makes the cost figures reproducible. Per-op [`IoStats`]
+//!   deltas are measured against the calling thread's local tally, so
+//!   they are exact and independent of the worker count.
+//! * **Refinement (worker threads, concurrent):** the CPU-bound
+//!   exact-geometry tests of each query or join go onto a shared work
+//!   queue the moment its phase-A half completes, and the workers drain
+//!   the queue **while phase A keeps running**. A writer never waits for
+//!   a reader's refinement, and a reader's candidates stay consistent:
+//!   they were fixed under an epoch pin, and deletes only tombstone
+//!   exact geometry ([`StableMap`](spatialdb_epoch::StableMap) keeps it
+//!   addressable).
 //!
-//! Results are merged back by stream index, so the full
-//! [`StreamOutcome`] — answers, per-op stats, per-op I/O — is
-//! **byte-identical at any thread count**: determinism comes from
-//! phase A's fixed order, not from barriers.
+//! A timed batch captures each filter step's request trace in phase A;
+//! once phase A ends, the calling thread replays the traces through the
+//! disk-arm scheduler ([`spatialdb_disk::simulate`]) while the workers
+//! finish refining.
+//!
+//! Results are merged back by index, so every outcome (answers, per-op
+//! stats, per-op I/O, simulated latencies) is **byte-identical at any
+//! thread count**: determinism comes from phase A's fixed order, not
+//! from barriers.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::db::SpatialDatabase;
-use crate::query::{candidate_ids, execute_filter, refine_pair, refined_geometry, Target};
-use spatialdb_disk::IoStats;
+use crate::query::{candidate_ids, execute_filter, refine_pair, refined_geometry, Query, Target};
+use spatialdb_disk::{IoStats, PageRequest};
 use spatialdb_geom::{Geometry, Point, Rect};
 use spatialdb_join::{JoinConfig, SpatialJoin};
 use spatialdb_rtree::{LeafEntry, ObjectId};
-use spatialdb_storage::QueryStats;
+use spatialdb_storage::{QueryStats, WindowTechnique};
 
 /// One operation of a mixed read/write stream.
 #[derive(Debug)]
@@ -179,6 +187,61 @@ impl StreamOutcome {
     }
 }
 
+/// One operation as phase A runs it: a [`StreamOp`] or a batch
+/// [`Query`], with each query lowered to its target
+/// and window technique.
+pub(crate) enum Step<'a> {
+    Query {
+        db: &'a SpatialDatabase,
+        target: Target,
+        technique: WindowTechnique,
+    },
+    Join {
+        left: &'a SpatialDatabase,
+        right: &'a SpatialDatabase,
+    },
+    Insert {
+        db: &'a SpatialDatabase,
+        id: u64,
+        geometry: Geometry,
+    },
+    Delete {
+        db: &'a SpatialDatabase,
+        id: u64,
+    },
+}
+
+impl<'a> From<StreamOp<'a>> for Step<'a> {
+    fn from(op: StreamOp<'a>) -> Self {
+        match op {
+            StreamOp::Window { db, window } => Step::Query {
+                db,
+                target: Target::Window(window),
+                technique: db.technique,
+            },
+            StreamOp::Point { db, point } => Step::Query {
+                db,
+                target: Target::Point(point),
+                technique: db.technique,
+            },
+            StreamOp::Join { left, right } => Step::Join { left, right },
+            StreamOp::Insert { db, id, geometry } => Step::Insert { db, id, geometry },
+            StreamOp::Delete { db, id } => Step::Delete { db, id },
+        }
+    }
+}
+
+impl<'a> From<Query<'a>> for Step<'a> {
+    fn from(query: Query<'a>) -> Self {
+        let (db, target, technique) = query.lower();
+        Step::Query {
+            db,
+            target,
+            technique,
+        }
+    }
+}
+
 /// A refinement unit: the pure-CPU half of a query or join, detached
 /// from phase A the moment its candidates are fixed.
 enum RefineJob<'a> {
@@ -196,10 +259,41 @@ enum RefineJob<'a> {
     },
 }
 
-/// What a worker hands back for a job, keyed by stream index.
+/// What a worker hands back for a job, keyed by its index.
 enum Refined {
     Ids(Vec<u64>),
     Pairs(u64),
+}
+
+impl RefineJob<'_> {
+    fn run(self) -> (usize, Refined) {
+        match self {
+            RefineJob::Query {
+                index,
+                db,
+                target,
+                candidates,
+            } => {
+                let ids = candidates
+                    .into_iter()
+                    .filter(|&id| refined_geometry(db, &target, id).is_some())
+                    .collect();
+                (index, Refined::Ids(ids))
+            }
+            RefineJob::Join {
+                index,
+                left,
+                right,
+                pairs,
+            } => {
+                let n = pairs
+                    .iter()
+                    .filter(|&&(a, b)| refine_pair(left, right, a, b))
+                    .count();
+                (index, Refined::Pairs(n as u64))
+            }
+        }
+    }
 }
 
 /// The shared refinement queue: phase A pushes, workers pop; closing
@@ -261,76 +355,113 @@ impl<'a> RefineQueue<'a> {
     }
 }
 
-/// Execute a mixed read/write stream on `threads` refinement workers.
-///
-/// See the [module docs](self) for the execution model. The returned
-/// [`StreamOutcome`] is byte-identical at any `threads` value; all
-/// databases referenced by the ops should share one workspace (their
-/// per-op I/O is measured on the calling thread's tally).
-pub fn run_stream(ops: Vec<StreamOp<'_>>, threads: usize) -> StreamOutcome {
-    if ops.is_empty() {
-        return StreamOutcome {
-            outcomes: Vec::new(),
-        };
+/// Closes the queue when phase A ends, also by unwinding: a panic in
+/// phase A must release the workers, not leave them waiting forever.
+struct CloseOnDrop<'q, 'a>(&'q RefineQueue<'a>);
+
+impl Drop for CloseOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        self.0.close();
     }
-    let workers = threads.max(1);
+}
+
+/// Run `phase_a` on the calling thread while `workers` scoped threads
+/// drain the refinement jobs it pushes. Returns `phase_a`'s value and
+/// every job's result with its index, in no particular order. A worker
+/// panic propagates once phase A is done and the other workers drained.
+fn refine_while<'a, R>(
+    workers: usize,
+    phase_a: impl FnOnce(&RefineQueue<'a>) -> R,
+) -> (R, Vec<(usize, Refined)>) {
     let queue = RefineQueue::new();
-    let mut outcomes: Vec<OpOutcome> = Vec::with_capacity(ops.len());
-    let refined: Vec<(usize, Refined)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.max(1))
             .map(|_| {
                 scope.spawn(|| {
                     let mut done = Vec::new();
                     while let Some(job) = queue.pop() {
-                        match job {
-                            RefineJob::Query {
-                                index,
-                                db,
-                                target,
-                                candidates,
-                            } => {
-                                let ids = candidates
-                                    .iter()
-                                    .copied()
-                                    .filter(|&id| refined_geometry(db, &target, id).is_some())
-                                    .collect();
-                                done.push((index, Refined::Ids(ids)));
-                            }
-                            RefineJob::Join {
-                                index,
-                                left,
-                                right,
-                                pairs,
-                            } => {
-                                let n = pairs
-                                    .iter()
-                                    .filter(|&&(a, b)| refine_pair(left, right, a, b))
-                                    .count();
-                                done.push((index, Refined::Pairs(n as u64)));
-                            }
-                        }
+                        done.push(job.run());
                     }
                     done
                 })
             })
             .collect();
+        let value = {
+            let _close = CloseOnDrop(&queue);
+            phase_a(&queue)
+        };
+        let refined = handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("refinement worker panicked"))
+            .collect();
+        (value, refined)
+    })
+}
 
-        // Phase A: stream order on this thread. Every disk charge and
+/// Phase A of one query: pin a snapshot, run the filter step and fix
+/// the sorted candidate ids. Returns the filter stats, the query's exact
+/// I/O delta, its request trace (empty unless `traced`, see
+/// [`execute_filter`]) and the candidates.
+pub(crate) fn filter_query(
+    db: &SpatialDatabase,
+    target: &Target,
+    technique: WindowTechnique,
+    traced: bool,
+    scratch: &mut Vec<LeafEntry>,
+) -> (QueryStats, IoStats, Vec<PageRequest>, Vec<u64>) {
+    // One pinned snapshot for the filter step and the candidate re-read,
+    // dropped on return so reclamation is never held up by an op that
+    // already detached its refinement.
+    let store = db.store();
+    let (stats, io, trace) = execute_filter(&*store, target, technique, traced);
+    let candidates = candidate_ids(&*store, target, scratch);
+    (stats, io, trace, candidates)
+}
+
+/// Run `steps` through the engine on `threads` refinement workers.
+///
+/// With `traced`, every query step captures its request trace. `tail`
+/// runs on the calling thread once phase A is done, while the workers
+/// still refine; it sees the phase-A outcomes (query ids still empty)
+/// and the traces of the query steps, in order.
+pub(crate) fn execute<'a, T>(
+    steps: Vec<Step<'a>>,
+    threads: usize,
+    traced: bool,
+    tail: impl FnOnce(&[OpOutcome], Vec<Vec<PageRequest>>) -> T,
+) -> (Vec<OpOutcome>, T) {
+    let n = steps.len();
+    let ((mut outcomes, value), refined) = refine_while(threads.clamp(1, n.max(1)), |queue| {
+        let mut outcomes: Vec<OpOutcome> = Vec::with_capacity(n);
+        let mut traces: Vec<Vec<PageRequest>> = Vec::new();
+        let mut scratch: Vec<LeafEntry> = Vec::new();
+        // Phase A: submission order on this thread. Every disk charge and
         // every commit happens here, so the per-op deltas cannot depend
         // on the worker count — and every refinement job is live on the
         // queue before the next commit runs, never after a barrier.
-        let mut scratch: Vec<LeafEntry> = Vec::new();
-        for (index, op) in ops.into_iter().enumerate() {
-            match op {
-                StreamOp::Window { db, window } => {
-                    let o = prepare_query(db, Target::Window(window), index, &mut scratch, &queue);
-                    outcomes.push(o);
+        for (index, step) in steps.into_iter().enumerate() {
+            let outcome = match step {
+                Step::Query {
+                    db,
+                    target,
+                    technique,
+                } => {
+                    let (stats, io, trace, candidates) =
+                        filter_query(db, &target, technique, traced, &mut scratch);
+                    traces.push(trace);
+                    queue.push(RefineJob::Query {
+                        index,
+                        db,
+                        target,
+                        candidates,
+                    });
+                    OpOutcome::Query {
+                        ids: Vec::new(),
+                        stats,
+                        io,
+                    }
                 }
-                StreamOp::Point { db, point } => {
-                    let o = prepare_query(db, Target::Point(point), index, &mut scratch, &queue);
-                    outcomes.push(o);
-                }
-                StreamOp::Join { left, right } => {
+                Step::Join { left, right } => {
                     let disk = left.store().disk();
                     let before = disk.local_stats();
                     let pairs = {
@@ -340,78 +471,92 @@ pub fn run_stream(ops: Vec<StreamOp<'_>>, threads: usize) -> StreamOutcome {
                             .0
                     };
                     let io = disk.local_stats().since(&before);
-                    outcomes.push(OpOutcome::Join { pairs: 0, io });
                     queue.push(RefineJob::Join {
                         index,
                         left,
                         right,
                         pairs,
                     });
+                    OpOutcome::Join { pairs: 0, io }
                 }
-                StreamOp::Insert { db, id, geometry } => {
+                Step::Insert { db, id, geometry } => {
                     let disk = db.store().disk();
                     let before = disk.local_stats();
                     db.insert(id, geometry);
-                    outcomes.push(OpOutcome::Insert {
+                    OpOutcome::Insert {
                         io: disk.local_stats().since(&before),
-                    });
+                    }
                 }
-                StreamOp::Delete { db, id } => {
+                Step::Delete { db, id } => {
                     let disk = db.store().disk();
                     let before = disk.local_stats();
                     let existed = db.remove(id);
-                    outcomes.push(OpOutcome::Delete {
+                    OpOutcome::Delete {
                         existed,
                         io: disk.local_stats().since(&before),
-                    });
+                    }
                 }
-            }
+            };
+            outcomes.push(outcome);
         }
-        queue.close();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("stream refinement worker panicked"))
-            .collect()
+        let value = tail(&outcomes, traces);
+        (outcomes, value)
     });
-    // Merge the detached refinements back by stream index.
+    // Merge the detached refinements back by index.
     for (index, result) in refined {
         match (&mut outcomes[index], result) {
             (OpOutcome::Query { ids, .. }, Refined::Ids(v)) => *ids = v,
             (OpOutcome::Join { pairs, .. }, Refined::Pairs(n)) => *pairs = n,
-            _ => unreachable!("refinement result kind mismatches its stream op"),
+            _ => unreachable!("refinement result kind mismatches its op"),
         }
     }
-    StreamOutcome { outcomes }
+    (outcomes, value)
 }
 
-/// Phase A of one query op: pin a snapshot, run the filter step, fix
-/// the candidate ids, and detach the refinement. Returns the outcome
-/// placeholder (ids filled in at merge time).
-fn prepare_query<'a>(
-    db: &'a SpatialDatabase,
+/// Refine one query's sorted candidates on up to `threads` workers, as
+/// contiguous chunks through the refinement queue; concatenating the
+/// chunks in order keeps the ids ascending.
+pub(crate) fn refine_chunked(
+    db: &SpatialDatabase,
     target: Target,
-    index: usize,
-    scratch: &mut Vec<LeafEntry>,
-    queue: &RefineQueue<'a>,
-) -> OpOutcome {
-    // One pinned snapshot for the filter step and the candidate re-read;
-    // dropped before the next commit so reclamation is never held up by
-    // an op that already detached its refinement.
-    let store = db.store();
-    let (stats, io) = execute_filter(&*store, &target, db.technique);
-    let candidates = candidate_ids(&*store, &target, scratch);
-    drop(store);
-    queue.push(RefineJob::Query {
-        index,
-        db,
-        target,
-        candidates,
-    });
-    OpOutcome::Query {
-        ids: Vec::new(),
-        stats,
-        io,
+    candidates: Vec<u64>,
+    threads: usize,
+) -> Vec<u64> {
+    if candidates.is_empty() {
+        return Vec::new();
     }
+    let workers = threads.clamp(1, candidates.len());
+    let per = candidates.len().div_ceil(workers);
+    let ((), mut parts) = refine_while(workers, |queue| {
+        for (index, chunk) in candidates.chunks(per).enumerate() {
+            queue.push(RefineJob::Query {
+                index,
+                db,
+                target,
+                candidates: chunk.to_vec(),
+            });
+        }
+    });
+    parts.sort_unstable_by_key(|&(index, _)| index);
+    parts
+        .into_iter()
+        .flat_map(|(_, part)| match part {
+            Refined::Ids(ids) => ids,
+            Refined::Pairs(_) => unreachable!("a query chunk refines to ids"),
+        })
+        .collect()
+}
+
+/// Execute a mixed read/write stream on `threads` refinement workers.
+///
+/// See the [module docs](self) for the execution model. The returned
+/// [`StreamOutcome`] is byte-identical at any `threads` value; all
+/// databases referenced by the ops should share one workspace (their
+/// per-op I/O is measured on the calling thread's tally).
+pub fn run_stream(ops: Vec<StreamOp<'_>>, threads: usize) -> StreamOutcome {
+    let steps = ops.into_iter().map(Step::from).collect();
+    let (outcomes, ()) = execute(steps, threads, false, |_, _| ());
+    StreamOutcome { outcomes }
 }
 
 #[cfg(test)]

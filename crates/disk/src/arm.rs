@@ -21,10 +21,9 @@
 //!   services them under an [`ArmPolicy`]: FCFS (arrival order) or
 //!   **elevator** (SCAN: sweep the cylinders in one direction, servicing
 //!   requests on the way, flip at the last outstanding cylinder).
-//! * [`simulate_queries`] replays per-query request traces through one
-//!   arm under an open-arrival workload with a bounded per-query
-//!   submission window (queue depth *k*), producing per-query
-//!   [`LatencyStats`].
+//! * [`simulate`](crate::array::simulate) replays per-query request
+//!   traces through the arms with a bounded per-query submission window
+//!   (queue depth *k*), producing per-query [`LatencyStats`].
 //!
 //! ## Two measures, one contract
 //!
@@ -391,7 +390,7 @@ struct Pending {
 /// effective charge flags, but charges nothing itself. The accounting
 /// front-end is [`Disk::submit`](crate::disk::Disk::submit) /
 /// [`Disk::complete_next`](crate::disk::Disk::complete_next); the
-/// open-arrival multi-query harness is [`simulate_queries`].
+/// multi-query replay is [`simulate`](crate::array::simulate).
 #[derive(Clone, Debug)]
 pub struct DiskArm {
     params: DiskParams,
@@ -663,8 +662,8 @@ impl DiskArm {
         (target - ready_ms.rem_euclid(period)).rem_euclid(period)
     }
 
-    /// Finish time of the completion the next [`service_next`]
-    /// (DiskArm::service_next) call would return, without mutating the
+    /// Finish time of the completion the next
+    /// [`service_next`](DiskArm::service_next) call would return, without mutating the
     /// arm — what the [`DiskArray`](crate::array::DiskArray) compares
     /// across arms to pop the globally-earliest completion.
     pub fn peek_next_finish(&self) -> Option<f64> {
@@ -691,39 +690,6 @@ pub struct QueryTrace {
     pub requests: Vec<PageRequest>,
 }
 
-/// Replay per-query request traces through one arm under an open-arrival
-/// workload, returning one [`LatencyStats`] per query (same order).
-///
-/// Each query keeps at most `depth` requests outstanding: its first
-/// `depth` requests are submitted at arrival, and each completion
-/// releases the next (the submission window of the overlapped executor).
-/// The arm services the union of all queries' outstanding requests under
-/// `policy` — with `depth == 1` and a single query this degenerates to
-/// the synchronous request order.
-///
-/// The simulation is deterministic: no wall-clock time, no randomness.
-pub fn simulate_queries(
-    params: DiskParams,
-    geometry: ArmGeometry,
-    policy: ArmPolicy,
-    depth: usize,
-    queries: &[QueryTrace],
-) -> Vec<LatencyStats> {
-    // The 1-arm special case of the striped harness (every stripe
-    // policy is the identity mapping at one arm).
-    crate::array::simulate_queries_striped(
-        params,
-        geometry,
-        crate::array::ArrayConfig {
-            policy,
-            ..Default::default()
-        },
-        depth,
-        queries,
-    )
-    .0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -735,6 +701,16 @@ mod tests {
 
     fn read1(r: u16, o: u64) -> PageRequest {
         PageRequest::read(PageRun::new(pg(r, o), 1))
+    }
+
+    /// Open-arrival replay through one arm under `policy`.
+    fn replay(policy: ArmPolicy, depth: usize, queries: &[QueryTrace]) -> Vec<LatencyStats> {
+        let config = crate::array::ArrayConfig {
+            policy,
+            ..Default::default()
+        };
+        let open = crate::array::Arrivals::Open;
+        crate::array::simulate(DiskParams::default(), config, depth, open, queries).0
     }
 
     #[test]
@@ -1039,13 +1015,7 @@ mod tests {
             q(5.0, &[500, 501]),
             q(10.0, &[]), // no I/O: completes at arrival
         ];
-        let stats = simulate_queries(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            ArmPolicy::Elevator,
-            2,
-            &queries,
-        );
+        let stats = replay(ArmPolicy::Elevator, 2, &queries);
         assert_eq!(stats.len(), 3);
         assert_eq!(stats[0].requests, 3);
         assert_eq!(stats[1].requests, 2);
@@ -1067,21 +1037,9 @@ mod tests {
             arrival_ms: 0.0,
             requests: (0..16).map(|i| read1(0, i * 64)).collect(),
         }];
-        let d1 = simulate_queries(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            ArmPolicy::Elevator,
-            1,
-            &queries,
-        );
+        let d1 = replay(ArmPolicy::Elevator, 1, &queries);
         assert_eq!(d1[0].queue_ms, 0.0, "depth-1 has no queueing");
-        let d4 = simulate_queries(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            ArmPolicy::Elevator,
-            4,
-            &queries,
-        );
+        let d4 = replay(ArmPolicy::Elevator, 4, &queries);
         assert!(d4[0].queue_ms > 0.0, "depth-4 overlaps requests");
         // Elevator reordering can only shorten the busy span.
         assert!(d4[0].completed_ms <= d1[0].completed_ms + 1e-9);
@@ -1098,13 +1056,7 @@ mod tests {
             })
             .collect();
         let mean = |policy| {
-            let stats = simulate_queries(
-                DiskParams::default(),
-                ArmGeometry::default(),
-                policy,
-                4,
-                &queries,
-            );
+            let stats = replay(policy, 4, &queries);
             stats.iter().map(|s| s.latency_ms()).sum::<f64>() / stats.len() as f64
         };
         let fcfs = mean(ArmPolicy::Fcfs);

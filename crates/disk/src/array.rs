@@ -20,7 +20,7 @@
 //! [`DiskArm`]: every policy degenerates to the identity mapping
 //! `(arm 0, band = region id)` at N = 1.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use crate::arm::{
     ArmGeometry, ArmPolicy, ArmStats, Completion, DiskArm, LatencyStats, PageRequest, QueryTrace,
@@ -282,108 +282,84 @@ impl DiskArray {
     }
 }
 
-/// Replay per-query request traces through a [`DiskArray`] under an
-/// open-arrival workload, returning one [`LatencyStats`] per query
-/// (same order) plus the final per-arm [`ArmStats`].
-///
-/// The submission-window discipline is the single-arm
-/// [`simulate_queries`](crate::arm::simulate_queries): each query keeps
-/// at most `depth` requests outstanding, and each completion releases
-/// the query's next request — which may land on a different arm, so a
-/// query's own requests overlap across arms even at depth 1's
-/// one-at-a-time issue order. Deterministic: no wall clock, no
-/// randomness.
-pub fn simulate_queries_striped(
-    params: DiskParams,
-    geometry: ArmGeometry,
-    config: ArrayConfig,
-    depth: usize,
-    queries: &[QueryTrace],
-) -> (Vec<LatencyStats>, Vec<ArmStats>) {
-    let depth = depth.max(1);
-    let mut array = DiskArray::new(params, geometry, config);
-    let mut stats: Vec<LatencyStats> = queries
-        .iter()
-        .map(|q| LatencyStats::arriving_at(q.arrival_ms))
-        .collect();
-    // Per-query submission cursor and id → query ownership.
-    let mut next_req: Vec<usize> = vec![0; queries.len()];
-    let mut owner: HashMap<u64, usize> = HashMap::new();
-    for (qi, q) in queries.iter().enumerate() {
-        for _ in 0..depth.min(q.requests.len()) {
-            let r = q.requests[next_req[qi]];
-            next_req[qi] += 1;
-            owner.insert(array.submit_at(r, q.arrival_ms), qi);
-        }
-    }
-    while let Some(c) = array.service_next() {
-        let qi = owner.remove(&c.id).expect("completion for unknown request");
-        stats[qi].absorb(&c);
-        let q = &queries[qi];
-        if next_req[qi] < q.requests.len() {
-            // The query observes the completion and issues its next
-            // request immediately.
-            let r = q.requests[next_req[qi]];
-            next_req[qi] += 1;
-            owner.insert(array.submit_at(r, c.finished_ms), qi);
-        }
-    }
-    (stats, array.arm_stats())
+/// When the queries of a [`simulate`] run arrive on the simulated clock.
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
+pub enum Arrivals {
+    /// Open arrivals: each query arrives at its trace's `arrival_ms`,
+    /// however loaded the array is. The default.
+    #[default]
+    Open,
+    /// A closed loop of `clients` clients. Client `c` issues queries
+    /// `c, c + clients, c + 2·clients, …` in order: the first `clients`
+    /// queries arrive at time 0, and each query's **completion** (its
+    /// last request finishing) activates the same client's next query
+    /// `think_ms` later. Arrivals self-throttle under load instead of
+    /// piling up, which produces the classic response-time-vs-clients
+    /// curve. The traces' own `arrival_ms` stamps are ignored.
+    Closed {
+        /// Concurrent clients (0 is treated as 1).
+        clients: usize,
+        /// Think time between a query's completion and the same
+        /// client's next arrival (simulated ms).
+        think_ms: f64,
+    },
 }
 
-/// Replay per-query request traces through a [`DiskArray`] under a
-/// **closed-loop** workload of `clients` concurrent clients with a
-/// fixed think time, returning one [`LatencyStats`] per query (same
-/// order) plus the final per-arm [`ArmStats`].
+/// Replay per-query request traces through a [`DiskArray`] shaped by
+/// `config`, returning one [`LatencyStats`] per query (same order) plus
+/// the final per-arm [`ArmStats`].
 ///
-/// Client `c` issues queries `c, c + clients, c + 2·clients, …` in
-/// order: the first `clients` queries arrive at time 0, and each
-/// query's **completion** (its last request finishing) activates the
-/// same client's next query `think_ms` later — the arrival process is
-/// driven by the system's own response times, which is what produces
-/// the classic response-time-vs-clients curve (arrivals self-throttle
-/// under load instead of piling up like [`simulate_queries_striped`]'s
-/// open process). The traces' own `arrival_ms` stamps are ignored.
+/// Each query keeps at most `depth` requests outstanding: its first
+/// `depth` requests are submitted at arrival, and each completion
+/// releases the query's next request, which may land on a different
+/// arm. The arms service the union of all outstanding requests under
+/// `config.policy`; with one arm, `depth == 1` and a single query this
+/// degenerates to the synchronous request order. A query with an empty
+/// trace completes at its arrival. `arrivals` picks the arrival process.
 ///
-/// Within a query the submission window is the usual depth-`depth`
-/// discipline. A query with an empty trace completes instantly at its
-/// arrival. Deterministic: no wall clock, no randomness.
-pub fn simulate_queries_closed(
+/// Deterministic: no wall clock, no randomness.
+pub fn simulate(
     params: DiskParams,
-    geometry: ArmGeometry,
     config: ArrayConfig,
     depth: usize,
-    clients: usize,
-    think_ms: f64,
+    arrivals: Arrivals,
     queries: &[QueryTrace],
 ) -> (Vec<LatencyStats>, Vec<ArmStats>) {
     let depth = depth.max(1);
-    let clients = clients.max(1);
-    let mut array = DiskArray::new(params, geometry, config);
     let n = queries.len();
-    let mut stats: Vec<LatencyStats> = queries
-        .iter()
-        .map(|_| LatencyStats::arriving_at(0.0))
-        .collect();
+    let mut array = DiskArray::new(params, ArmGeometry::default(), config);
+    // Every query is activated exactly once, which stamps its record.
+    let mut stats = vec![LatencyStats::default(); n];
+    // Queries whose arrival is due: (query, arrival time). An open run
+    // seeds every query up front; a closed run seeds one per client.
+    let mut activations: VecDeque<(usize, f64)> = match arrivals {
+        Arrivals::Open => queries
+            .iter()
+            .enumerate()
+            .map(|(qi, q)| (qi, q.arrival_ms))
+            .collect(),
+        Arrivals::Closed { clients, .. } => {
+            (0..clients.max(1).min(n)).map(|qi| (qi, 0.0)).collect()
+        }
+    };
+    // The query a closed client issues after `qi` completes at `done_ms`.
+    let next_of = |qi: usize, done_ms: f64| match arrivals {
+        Arrivals::Open => None,
+        Arrivals::Closed { clients, think_ms } => Some(qi + clients.max(1))
+            .filter(|&next| next < n)
+            .map(|next| (next, done_ms + think_ms)),
+    };
     let mut next_req: Vec<usize> = vec![0; n];
     let mut outstanding: Vec<usize> = vec![0; n];
     let mut owner: HashMap<u64, usize> = HashMap::new();
-    // Queries whose client just became ready: (query, arrival time).
-    let mut activations: std::collections::VecDeque<(usize, f64)> =
-        (0..clients.min(n)).map(|q| (q, 0.0)).collect();
     loop {
         while let Some((qi, at)) = activations.pop_front() {
             stats[qi] = LatencyStats::arriving_at(at);
-            if queries[qi].requests.is_empty() {
-                // Nothing to serve: the query completes at arrival and
-                // its client immediately starts thinking.
-                if qi + clients < n {
-                    activations.push_back((qi + clients, at + think_ms));
-                }
-                continue;
+            let requests = &queries[qi].requests;
+            if requests.is_empty() {
+                activations.extend(next_of(qi, at));
             }
-            for _ in 0..depth.min(queries[qi].requests.len()) {
-                let r = queries[qi].requests[next_req[qi]];
+            for &r in requests.iter().take(depth) {
                 next_req[qi] += 1;
                 outstanding[qi] += 1;
                 owner.insert(array.submit_at(r, at), qi);
@@ -393,14 +369,14 @@ pub fn simulate_queries_closed(
         let qi = owner.remove(&c.id).expect("completion for unknown request");
         stats[qi].absorb(&c);
         outstanding[qi] -= 1;
-        if next_req[qi] < queries[qi].requests.len() {
-            let r = queries[qi].requests[next_req[qi]];
+        if let Some(&r) = queries[qi].requests.get(next_req[qi]) {
+            // The query observes the completion and issues its next
+            // request immediately.
             next_req[qi] += 1;
             outstanding[qi] += 1;
             owner.insert(array.submit_at(r, c.finished_ms), qi);
-        } else if outstanding[qi] == 0 && qi + clients < n {
-            // Query complete: its client thinks, then issues its next.
-            activations.push_back((qi + clients, c.finished_ms + think_ms));
+        } else if outstanding[qi] == 0 {
+            activations.extend(next_of(qi, c.finished_ms));
         }
     }
     (stats, array.arm_stats())
@@ -581,6 +557,8 @@ mod tests {
 
     #[test]
     fn striped_simulation_with_one_arm_matches_single_arm_harness() {
+        // Every stripe policy is the identity at one arm, so the replay
+        // cannot tell them apart.
         let traces = vec![
             QueryTrace {
                 arrival_ms: 0.0,
@@ -591,26 +569,16 @@ mod tests {
                 requests: vec![read1(2, 0), read1(3, 32 * 2)],
             },
         ];
-        let single = crate::arm::simulate_queries(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            ArmPolicy::Elevator,
-            4,
-            &traces,
-        );
+        let replay = |stripe| {
+            let config = ArrayConfig {
+                stripe,
+                ..ArrayConfig::default()
+            };
+            simulate(DiskParams::default(), config, 4, Arrivals::Open, &traces)
+        };
+        let (single, _) = replay(StripePolicy::default());
         for stripe in ALL_POLICIES {
-            let (striped, arms) = simulate_queries_striped(
-                DiskParams::default(),
-                ArmGeometry::default(),
-                ArrayConfig {
-                    arms: 1,
-                    stripe,
-                    policy: ArmPolicy::Elevator,
-                    rotation: RotationModel::FlatAverage,
-                },
-                4,
-                &traces,
-            );
+            let (striped, arms) = replay(stripe);
             assert_eq!(single, striped, "1-arm striped sim diverged ({stripe:?})");
             assert_eq!(arms.len(), 1);
             assert_eq!(arms[0].serviced, 5);
@@ -633,22 +601,13 @@ mod tests {
             policy: ArmPolicy::Elevator,
             rotation: RotationModel::FlatAverage,
         };
-        let (open, open_arms) = simulate_queries_striped(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            config,
-            3,
-            &traces,
-        );
-        let (closed, closed_arms) = simulate_queries_closed(
-            DiskParams::default(),
-            ArmGeometry::default(),
-            config,
-            3,
-            traces.len(),
-            0.0,
-            &traces,
-        );
+        let (open, open_arms) = simulate(DiskParams::default(), config, 3, Arrivals::Open, &traces);
+        let closed_loop = Arrivals::Closed {
+            clients: traces.len(),
+            think_ms: 0.0,
+        };
+        let (closed, closed_arms) =
+            simulate(DiskParams::default(), config, 3, closed_loop, &traces);
         assert_eq!(open, closed);
         assert_eq!(open_arms, closed_arms);
     }
@@ -665,13 +624,15 @@ mod tests {
             })
             .collect();
         let think = 2.5;
-        let (stats, _) = simulate_queries_closed(
+        let closed_loop = Arrivals::Closed {
+            clients: 1,
+            think_ms: think,
+        };
+        let (stats, _) = simulate(
             DiskParams::default(),
-            ArmGeometry::default(),
             ArrayConfig::default(),
             4,
-            1,
-            think,
+            closed_loop,
             &traces,
         );
         for w in stats.windows(2) {
@@ -701,13 +662,15 @@ mod tests {
             .collect();
         traces[5].requests.clear(); // a buffer-hit query: no I/O at all
         let mean = |clients: usize| {
-            let (stats, _) = simulate_queries_closed(
+            let closed_loop = Arrivals::Closed {
+                clients,
+                think_ms: 1.0,
+            };
+            let (stats, _) = simulate(
                 DiskParams::default(),
-                ArmGeometry::default(),
                 ArrayConfig::default(),
                 4,
-                clients,
-                1.0,
+                closed_loop,
                 &traces,
             );
             assert_eq!(stats.len(), traces.len());

@@ -33,7 +33,7 @@
 //!   [`disk::Disk::submit`] and charged at service time through the same
 //!   `charge` path — depth-1 submission is byte-identical to the
 //!   synchronous model;
-//! * [`array`] — multi-arm declustered storage: a [`array::DiskArray`]
+//! * [`array`](mod@array) — multi-arm declustered storage: a [`array::DiskArray`]
 //!   of N independent arms behind a [`array::StripePolicy`] mapping
 //!   each region to one arm's local cylinder band, with a parallel
 //!   drain popping the globally-earliest completion across arms and
@@ -93,12 +93,10 @@ pub mod stats;
 
 pub use alloc::{ExtentAllocator, SequentialAllocator};
 pub use arm::{
-    simulate_queries, ArmGeometry, ArmPolicy, ArmStats, Completion, DiskArm, LatencyStats,
-    PageRequest, QueryTrace, RotationModel, SeekCurve,
+    ArmGeometry, ArmPolicy, ArmStats, Completion, DiskArm, LatencyStats, PageRequest, QueryTrace,
+    RotationModel, SeekCurve,
 };
-pub use array::{
-    simulate_queries_closed, simulate_queries_striped, ArrayConfig, DiskArray, StripePolicy,
-};
+pub use array::{simulate, ArrayConfig, Arrivals, DiskArray, StripePolicy};
 pub use buddy::{BuddyAllocator, BuddyConfig};
 pub use buffer::{BufferPool, LruBuffer, ReadMode, SeekPolicy};
 pub use disk::{Disk, DiskHandle, ScratchTally};

@@ -61,6 +61,30 @@ pub enum LockClass {
 }
 
 impl LockClass {
+    /// One class per rank, in hierarchy order — the single source of
+    /// the hierarchy (`Shard(0)` stands for every shard index). The
+    /// invariant analyzer derives its lock table from it.
+    pub const ALL: [LockClass; 6] = [
+        LockClass::DbWriter,
+        LockClass::Shard(0),
+        LockClass::ArmQueue,
+        LockClass::DiskCounters,
+        LockClass::Geometry,
+        LockClass::Epoch,
+    ];
+
+    /// The class name, without a shard index.
+    pub fn name(self) -> &'static str {
+        match self {
+            LockClass::DbWriter => "DbWriter",
+            LockClass::Shard(_) => "Shard",
+            LockClass::ArmQueue => "ArmQueue",
+            LockClass::DiskCounters => "DiskCounters",
+            LockClass::Geometry => "Geometry",
+            LockClass::Epoch => "Epoch",
+        }
+    }
+
     /// Rank in the hierarchy (lower acquires first).
     pub fn rank(self) -> u8 {
         match self {
@@ -88,12 +112,8 @@ impl LockClass {
 impl fmt::Display for LockClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LockClass::DbWriter => f.write_str("DbWriter"),
             LockClass::Shard(i) => write!(f, "Shard({i})"),
-            LockClass::ArmQueue => f.write_str("ArmQueue"),
-            LockClass::DiskCounters => f.write_str("DiskCounters"),
-            LockClass::Geometry => f.write_str("Geometry"),
-            LockClass::Epoch => f.write_str("Epoch"),
+            class => f.write_str(class.name()),
         }
     }
 }
@@ -106,7 +126,7 @@ mod checker {
     use std::sync::Mutex;
 
     /// Number of lock-class kinds (one per hierarchy rank).
-    const KINDS: usize = 6;
+    const KINDS: usize = LockClass::ALL.len();
 
     /// One lock the current thread holds.
     struct Held {
@@ -134,14 +154,7 @@ mod checker {
     }
 
     fn kind_name(kind: usize) -> &'static str {
-        [
-            "DbWriter",
-            "Shard",
-            "ArmQueue",
-            "DiskCounters",
-            "Geometry",
-            "Epoch",
-        ][kind]
+        LockClass::ALL[kind].name()
     }
 
     /// Render the accumulated wait graph: one `A -> B @ site` line per
@@ -390,6 +403,15 @@ mod tests {
         // Violations panic; run them on a scratch thread so this test's
         // own held-stack and the shared mutexes stay clean.
         std::thread::spawn(f).join().is_err()
+    }
+
+    #[test]
+    fn all_lists_one_class_per_rank_in_order() {
+        for (i, class) in LockClass::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(class.rank()), i, "{class}");
+        }
+        assert_eq!(LockClass::Shard(3).name(), "Shard");
+        assert_eq!(LockClass::Shard(3).to_string(), "Shard(3)");
     }
 
     #[test]

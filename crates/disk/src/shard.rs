@@ -13,7 +13,7 @@
 //!
 //! * **One shard** (the default of the storage layer): the single
 //!   shard's LRU is the global LRU, and every operation charges the
-//!   disk in exactly the order [`BufferPool`] would — a `ShardedPool`
+//!   disk in exactly the order [`BufferPool`](crate::buffer::BufferPool) would — a `ShardedPool`
 //!   with `shards == 1` produces **byte-identical
 //!   [`IoStats`](crate::stats::IoStats)** to the single-lock pool for
 //!   any single-threaded operation sequence (asserted by the mirror
@@ -214,7 +214,7 @@ impl ShardedPool {
     /// Borrowed headroom flows back on its own: stolen quota a
     /// borrower leaves unused for a full eviction cycle decays one
     /// page per cycle to a shard below its static split (see
-    /// [`decay_idle_quota`](Self::decay_idle_quota)), and
+    /// `decay_idle_quota`), and
     /// [`reset`](ShardedPool::reset) /
     /// [`invalidate_all`](ShardedPool::invalidate_all) restore the
     /// static split wholesale. With the feature off (the default) the

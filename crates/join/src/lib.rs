@@ -6,7 +6,7 @@
 //!
 //! A complete intersection join runs in three steps (§6.3, \[BKSS94\]):
 //!
-//! 1. **MBR join** ([`mbr_join`]): synchronized traversal of the two
+//! 1. **MBR join** ([`mbr_join`](mod@mbr_join)): synchronized traversal of the two
 //!    R\*-trees. Pairs of intersecting directory entries are processed in
 //!    ascending order of their smallest x-coordinate, with one subtree
 //!    *pinned* against all its partners before moving on — combined with

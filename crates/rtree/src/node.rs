@@ -108,11 +108,11 @@ impl Node {
 
 /// Slab of nodes with stable ids and O(1) reuse of freed slots.
 ///
-/// Each slot holds its [`Node`] behind an [`Arc`], which makes the
+/// Each slot holds its [`Node`] behind an [`Arc`](std::sync::Arc), which makes the
 /// store **copy-on-write**: [`Clone`] duplicates only the pointer
 /// table (one refcount bump per live node), and the first
 /// [`get_mut`](NodeStore::get_mut) on a shared node shadow-copies
-/// exactly that node ([`Arc::make_mut`]). A cloned tree is therefore a
+/// exactly that node ([`Arc::make_mut`](std::sync::Arc::make_mut)). A cloned tree is therefore a
 /// cheap consistent snapshot, and a writer working on the clone
 /// materializes shadow pages only for the nodes it actually touches —
 /// the mechanism behind the engine's non-blocking concurrent writers.

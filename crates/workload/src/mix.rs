@@ -3,7 +3,7 @@
 //!
 //! The stream is generated serially from one RNG, then executed through
 //! the engine's mixed-stream mode
-//! ([`run_stream`](spatialdb::stream::run_stream)): every operation's
+//! ([`run_stream`]): every operation's
 //! I/O-charging half — including the `&self` shadow-paging commits —
 //! runs in stream order on one thread, while the CPU-bound refinements
 //! fan across the worker pool **concurrently with later commits**. No
@@ -11,7 +11,7 @@
 //! at 8.
 //!
 //! Delete targets are drawn from the live id universe: the generator
-//! emits a raw draw, and [`run_mix`] resolves it against a running
+//! emits a raw draw, and `run_mix` resolves it against a running
 //! model of each database's live ids (initialized from
 //! [`SpatialDatabase::object_ids`], updated by the stream's own
 //! inserts and deletes) — deterministic, and never dependent on

@@ -1,12 +1,12 @@
-//! Parallel-executor equivalence: `run_par(k)` / `run_batch(.., k)` must
-//! return byte-identical result sets and identical per-query and
-//! aggregate statistics to sequential execution — for every organization
-//! model and every window technique — and the parallel join must produce
-//! exactly the sequential join's pairs.
+//! Parallel-executor equivalence: `run_par(k)` / `run_batch(.., k)` /
+//! `run_stream(.., k)` must return byte-identical result sets and
+//! identical per-query and aggregate statistics to sequential execution
+//! — for every organization model and every window technique — and the
+//! parallel join must produce exactly the sequential join's pairs.
 
 use spatialdb::geom::{Point, Polyline, Rect};
 use spatialdb::storage::{OrganizationKind, QueryStats, WindowTechnique};
-use spatialdb::{DbOptions, IoStats, SpatialDatabase, Workspace};
+use spatialdb::{run_stream, DbOptions, IoStats, OpOutcome, SpatialDatabase, StreamOp, Workspace};
 
 const ALL_KINDS: [OrganizationKind; 3] = [
     OrganizationKind::Secondary,
@@ -53,8 +53,9 @@ fn windows() -> Vec<Rect> {
 }
 
 /// The acceptance matrix: 3 organizations × 4 window techniques on a
-/// 10k-object database; `run_par(8)` and `run_batch(.., 8)` must match
-/// sequential execution exactly (ids, per-query stats, aggregates).
+/// 10k-object database; `run_par(8)`, `run_batch(.., 8)` and
+/// `run_stream(.., 1 | 2 | 8)` must match sequential execution exactly
+/// (ids, per-query stats and I/O, aggregates).
 #[test]
 fn run_par_matches_sequential_all_orgs_and_techniques() {
     const N: u64 = 10_000;
@@ -67,11 +68,13 @@ fn run_par_matches_sequential_all_orgs_and_techniques() {
             db.store_mut().begin_query();
             let mut seq_ids: Vec<Vec<u64>> = Vec::new();
             let mut seq_stats: Vec<QueryStats> = Vec::new();
+            let mut seq_ios: Vec<IoStats> = Vec::new();
             let mut seq_agg = QueryStats::default();
             let mut seq_io = IoStats::new();
             for w in windows() {
                 let cursor = db.query().window(w).technique(technique).run();
                 seq_stats.push(cursor.stats());
+                seq_ios.push(cursor.io_stats());
                 seq_agg.accumulate(&cursor.stats());
                 seq_io = seq_io.plus(&cursor.io_stats());
                 seq_ids.push(cursor.ids());
@@ -89,9 +92,33 @@ fn run_par_matches_sequential_all_orgs_and_techniques() {
             for (i, outcome) in batch.outcomes().iter().enumerate() {
                 assert_eq!(outcome.ids(), &seq_ids[i][..], "{kind:?}/{technique:?}/{i}");
                 assert_eq!(outcome.stats(), seq_stats[i], "{kind:?}/{technique:?}/{i}");
+                assert_eq!(outcome.io_stats(), seq_ios[i], "{kind:?}/{technique:?}/{i}");
             }
             assert_eq!(batch.aggregate_stats(), seq_agg, "{kind:?}/{technique:?}");
             assert_eq!(batch.aggregate_io(), seq_io, "{kind:?}/{technique:?}");
+            // The same read-only op list as a stream. Stream window ops
+            // use the database's own technique (the DbOptions default).
+            if technique == DbOptions::new(kind).technique {
+                for threads in [1, 2, 8] {
+                    db.store_mut().begin_query();
+                    let ops = windows()
+                        .into_iter()
+                        .map(|window| StreamOp::Window { db: &db, window })
+                        .collect();
+                    let stream = run_stream(ops, threads);
+                    assert_eq!(stream.len(), seq_ids.len());
+                    for (i, op) in stream.outcomes().iter().enumerate() {
+                        let OpOutcome::Query { ids, stats, io } = op else {
+                            panic!("op {i} is a window query");
+                        };
+                        let at = format!("{kind:?}/stream/{threads} threads/{i}");
+                        assert_eq!(ids, &seq_ids[i], "{at}");
+                        assert_eq!(*stats, seq_stats[i], "{at}");
+                        assert_eq!(*io, seq_ios[i], "{at}");
+                    }
+                    assert_eq!(stream.aggregate_io(), seq_io, "{kind:?}/{threads}");
+                }
+            }
             // Single-query run_par(8): same result set and stats as the
             // sequential cursor, for each window in isolation.
             for (i, w) in windows().into_iter().enumerate() {

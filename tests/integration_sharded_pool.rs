@@ -13,7 +13,7 @@ use spatialdb::data::workload::WindowQuerySet;
 use spatialdb::data::{DataSet, GeometryMode, MapId, SeriesId, SpatialMap};
 use spatialdb::disk::IoStats;
 use spatialdb::storage::{QueryStats, WindowTechnique};
-use spatialdb::{DbOptions, EngineConfig, ExecPlan, OrganizationKind, SpatialDatabase, Workspace};
+use spatialdb::{DbOptions, EngineConfig, OrganizationKind, SpatialDatabase, Workspace};
 
 const ALL_KINDS: [OrganizationKind; 3] = [
     OrganizationKind::Secondary,
@@ -203,73 +203,6 @@ fn region_routing_conserves_answers_and_partitions_regions() {
     }
 }
 
-/// The overlapped filter mode returns the same exact answers as the
-/// deterministic serialized batch, and at one worker thread it *is*
-/// the serialized order — byte-identical stats.
-#[test]
-fn overlapped_batch_matches_serialized_answers() {
-    let map = test_map();
-    let queries = WindowQuerySet::generate(&map, 1e-2, 16, 5);
-    let ws = Workspace::from_config(EngineConfig::default().buffer_pages(BUFFER_PAGES).shards(4));
-    let mut db = load(&ws, OrganizationKind::Cluster, &map);
-
-    db.store_mut().begin_query();
-    let serialized = ws.run_batch(
-        queries
-            .windows
-            .iter()
-            .map(|w| db.query().window(*w))
-            .collect(),
-        4,
-    );
-    db.store_mut().begin_query();
-    let overlapped = ws.run_batch(
-        queries
-            .windows
-            .iter()
-            .map(|w| db.query().window(*w))
-            .collect::<Vec<_>>(),
-        ExecPlan::threads(4).overlapped(),
-    );
-    assert_eq!(serialized.len(), overlapped.len());
-    for (s, o) in serialized.outcomes().iter().zip(overlapped.outcomes()) {
-        assert_eq!(s.ids(), o.ids(), "overlapped filter changed an answer");
-        assert_eq!(s.stats().candidates, o.stats().candidates);
-        assert_eq!(s.stats().result_bytes, o.stats().result_bytes);
-    }
-
-    // Single worker: the overlapped mode degenerates to submission
-    // order — stats byte-identical to the serialized path.
-    db.store_mut().begin_query();
-    let serial_one = ws.run_batch(
-        queries
-            .windows
-            .iter()
-            .map(|w| db.query().window(*w))
-            .collect(),
-        1,
-    );
-    db.store_mut().begin_query();
-    let overlap_one = ws.run_batch(
-        queries
-            .windows
-            .iter()
-            .map(|w| db.query().window(*w))
-            .collect::<Vec<_>>(),
-        ExecPlan::threads(1).overlapped(),
-    );
-    for (s, o) in serial_one.outcomes().iter().zip(overlap_one.outcomes()) {
-        assert_eq!(s.ids(), o.ids());
-        assert_eq!(s.stats(), o.stats());
-        assert_eq!(s.io_stats(), o.io_stats());
-    }
-    assert_eq!(
-        serial_one.aggregate_stats(),
-        overlap_one.aggregate_stats(),
-        "single-thread overlapped batch must stay deterministic"
-    );
-}
-
 /// Panic-safety of the I/O tallies: a refinement worker that panics
 /// (here: refining a filter-only record bulk-loaded without exact
 /// geometry) aborts the batch, but every charge the filter phase made
@@ -304,4 +237,65 @@ fn panicking_batch_worker_leaks_no_charges() {
         grown.read_requests > 0,
         "filter-phase charges leaked out of the cumulative stats"
     );
+}
+
+/// The stream engine's panic paths: a query whose refinement panics
+/// (filter-only records) followed by an insert reaches the caller
+/// without deadlock, and both the query's filter charges and the
+/// insert's commit survive in the cumulative stats; a panic in phase A
+/// reaches the caller too.
+#[test]
+fn panicking_stream_refinement_keeps_filter_and_commit_charges() {
+    use spatialdb::geom::{Point, Polyline, Rect};
+    use spatialdb::rtree::ObjectId;
+    use spatialdb::storage::ObjectRecord;
+    use spatialdb::{run_stream, StreamOp};
+
+    let ws = Workspace::new(BUFFER_PAGES);
+    let mut db = ws.create_database(DbOptions::new(OrganizationKind::Secondary));
+    let records: Vec<ObjectRecord> = (0..40u64)
+        .map(|i| {
+            let x = (i % 8) as f64 / 8.0;
+            let y = (i / 8) as f64 / 8.0;
+            ObjectRecord::new(ObjectId(i), Rect::new(x, y, x + 0.05, y + 0.05), 700)
+        })
+        .collect();
+    db.store_mut().bulk_load(&records);
+    db.finish_loading();
+
+    let before = db.io_stats();
+    let street = Polyline::new(vec![Point::new(0.3, 0.3), Point::new(0.35, 0.32)]);
+    for threads in [1, 4] {
+        let id = 1_000 + threads as u64;
+        let ops = vec![
+            StreamOp::Window {
+                db: &db,
+                window: Rect::new(0.0, 0.0, 1.0, 1.0),
+            },
+            StreamOp::Insert {
+                db: &db,
+                id,
+                geometry: street.clone().into(),
+            },
+        ];
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_stream(ops, threads)));
+        assert!(outcome.is_err(), "refining filter-only records must panic");
+        assert!(db.geometry(id).is_some(), "the insert committed");
+    }
+    let grown = db.io_stats().since(&before);
+    assert!(grown.read_requests > 0, "filter charges leaked out");
+    assert!(grown.write_requests > 0, "commit charges leaked out");
+    assert_eq!(db.pinned_readers(), 0, "a snapshot pin outlived the panic");
+
+    // A panic in phase A itself (a duplicate insert) must release the
+    // waiting workers instead of deadlocking the stream.
+    let duplicate = vec![StreamOp::Insert {
+        db: &db,
+        id: 1_001,
+        geometry: street.into(),
+    }];
+    let outcome =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_stream(duplicate, 4)));
+    assert!(outcome.is_err(), "a duplicate insert must panic");
 }
